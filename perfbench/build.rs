@@ -1,0 +1,19 @@
+//! Records the compiler and build profile for the provenance block.
+
+use std::process::Command;
+
+fn main() {
+    println!("cargo:rerun-if-env-changed=RUSTC");
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_default();
+    let opt = std::env::var("OPT_LEVEL").unwrap_or_default();
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={profile} opt-level={opt}");
+}
