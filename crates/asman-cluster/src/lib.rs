@@ -57,7 +57,7 @@ pub mod churn;
 pub mod migration;
 pub mod scenario;
 
-pub use balancer::{decide, plan, HostView, Move, Plan, Policy, Snapshot, VmView};
+pub use balancer::{plan, HostView, Move, Plan, Policy, Snapshot, VmView};
 pub use checkpoint::{diff_states, Checkpoint, CheckpointConfig, ClusterState};
 pub use churn::{ChurnKind, ChurnPlan, ChurnSpec, ShapeKind, VmShape};
 pub use migration::{AbortRecord, MigrationModel, MigrationRecord};

@@ -255,8 +255,7 @@ impl GuestKernel {
         &self.stats
     }
 
-    /// Mutable measurement state (e.g. to gate the wait trace to an
-    /// observation window).
+    /// Mutable measurement state.
     pub fn stats_mut(&mut self) -> &mut GuestStats {
         &mut self.stats
     }
@@ -382,7 +381,11 @@ impl GuestKernel {
         let s = &self.stats;
         h.write_u64(s.wait_hist.count());
         h.write_u64(s.sem_wait_hist.count());
-        h.write_usize(s.wait_trace.samples().len());
+        // The retired per-wait trace retained waits >= 2^10 cycles, up
+        // to 200k of them, and this slot folded its length. The same
+        // count, read from the histogram, keeps every recorded
+        // fingerprint (checkpoints, benchmark pins) valid.
+        h.write_u64(s.wait_hist.count_at_least_pow2(10).min(200_000));
         h.write_u64(s.spin_kernel_cycles.as_u64());
         h.write_u64(s.spin_barrier_cycles.as_u64());
         h.write_u64(s.spin_pipeline_cycles.as_u64());
@@ -861,7 +864,7 @@ impl GuestKernel {
     ) {
         self.locks[lock as usize].holder = Some(t);
         self.threads[t].held = Some(lock);
-        self.stats.record_wait(now, wait);
+        self.stats.record_wait(wait);
         if self.flight.wants(TraceCat::Lock) {
             self.flight.record(
                 now,
@@ -1437,6 +1440,16 @@ mod tests {
     use crate::monitor::NullObserver;
     use asman_workloads::ScriptProgram;
 
+    /// Lock waits of the guest's flight `lock` stream, in acquisition
+    /// order.
+    fn lock_waits(g: &GuestKernel) -> Vec<u64> {
+        g.flight()
+            .events(TraceCat::Lock)
+            .iter()
+            .filter_map(|e| e.ev.lock_wait())
+            .collect()
+    }
+
     fn costs() -> GuestCosts {
         GuestCosts::default()
     }
@@ -1499,6 +1512,7 @@ mod tests {
         };
         let p = ScriptProgram::new("t", vec![vec![cs(1_000)], vec![cs(500)]]);
         let mut g = GuestKernel::new(Box::new(p), 2, costs(), Box::new(NullObserver));
+        g.enable_flight(CatMask::only(TraceCat::Lock), 16);
         let mut e = fx();
         // Thread 0 acquires at t=0.
         let w0 = g.dispatch(0, Cycles(0), Cycles(0), &mut e);
@@ -1529,11 +1543,8 @@ mod tests {
         // Wait time = 1000-100 + handoff.
         assert_eq!(g.stats().wait_hist.count(), 2);
         let expected_wait = 900 + costs().lock_handoff.as_u64();
-        assert_eq!(g.stats().wait_trace.samples().len(), 1);
-        assert_eq!(
-            g.stats().wait_trace.samples()[0].1.wait,
-            Cycles(expected_wait)
-        );
+        let uncontended = costs().lock_uncontended.as_u64();
+        assert_eq!(lock_waits(&g), vec![uncontended, expected_wait]);
         // Spin burn was charged.
         assert_eq!(g.stats().spin_kernel_cycles, Cycles(900));
     }
@@ -1813,6 +1824,7 @@ mod tests {
         };
         let p = ScriptProgram::new("t", vec![vec![cs(1_000)], vec![cs(500)]]);
         let mut g = GuestKernel::new(Box::new(p), 2, costs(), Box::new(NullObserver));
+        g.enable_flight(CatMask::only(TraceCat::Lock), 16);
         let mut e = fx();
         g.dispatch(0, Cycles(0), Cycles(0), &mut e);
         assert_eq!(
@@ -1835,9 +1847,9 @@ mod tests {
             }
         );
         // Its wait spans from the original attempt at t=100.
-        let waits = g.stats().wait_trace.samples();
-        assert_eq!(waits.len(), 1);
-        assert!(waits[0].1.wait >= Cycles(19_900));
+        let waits = lock_waits(&g);
+        assert_eq!(waits.len(), 2, "holder's uncontended acquire, then the waiter's");
+        assert!(waits[1] >= 19_900);
     }
 
     /// vcpu_runnable reflects queued work.

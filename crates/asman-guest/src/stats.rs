@@ -1,20 +1,13 @@
 //! Per-VM measurement state.
 //!
 //! Mirrors the instrumentation of the paper's evaluation: spinlock
-//! waiting-time histograms and traces (Figures 1(b), 2, 8), throughput
-//! counters (SPECjbb bops), per-thread round completions (SPEC-rate and
-//! multi-VM batch rounds, §5.3), and cycle accounting that separates
-//! useful computation from synchronization waste.
+//! waiting-time histograms (Figures 1(b), 2, 8; the individual waits of
+//! the scatter plots come from the flight recorder's `lock` category),
+//! throughput counters (SPECjbb bops), per-thread round completions
+//! (SPEC-rate and multi-VM batch rounds, §5.3), and cycle accounting that
+//! separates useful computation from synchronization waste.
 
-use asman_sim::{Cycles, Log2Histogram, QuantileHist, TraceBuffer};
-use serde::{Deserialize, Serialize};
-
-/// A single spinlock wait observation (for the scatter plots).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct WaitSample {
-    /// Waiting time in cycles.
-    pub wait: Cycles,
-}
+use asman_sim::{Cycles, Log2Histogram, QuantileHist};
 
 /// Measurement state of one guest kernel.
 #[derive(Clone, Debug)]
@@ -24,11 +17,6 @@ pub struct GuestStats {
     /// Histogram of semaphore waiting times (§2.2 measures these too and
     /// finds them unaffected by virtualization).
     pub sem_wait_hist: Log2Histogram,
-    /// Trace of individual waits above the collection floor.
-    pub wait_trace: TraceBuffer<WaitSample>,
-    /// Waits are only traced if at least this large (the paper collects
-    /// spinlocks with waits > 2^10 cycles).
-    pub trace_floor: Cycles,
     /// Cycles burned busy-waiting on kernel spinlocks.
     pub spin_kernel_cycles: Cycles,
     /// Cycles burned in user-space barrier spinning.
@@ -72,8 +60,6 @@ impl GuestStats {
         GuestStats {
             wait_hist: Log2Histogram::new(),
             sem_wait_hist: Log2Histogram::new(),
-            wait_trace: TraceBuffer::new(200_000),
-            trace_floor: Cycles::pow2(10),
             spin_kernel_cycles: Cycles::ZERO,
             spin_barrier_cycles: Cycles::ZERO,
             spin_pipeline_cycles: Cycles::ZERO,
@@ -104,13 +90,10 @@ impl GuestStats {
         }
     }
 
-    /// Record a spinlock wait observation at time `now`.
-    pub fn record_wait(&mut self, now: Cycles, wait: Cycles) {
+    /// Record a spinlock wait observation.
+    pub fn record_wait(&mut self, wait: Cycles) {
         self.lock_acquisitions += 1;
         self.wait_hist.record(wait);
-        if wait >= self.trace_floor {
-            self.wait_trace.record(now, WaitSample { wait });
-        }
     }
 
     /// Record a round completion on `thread` at `now`.
@@ -163,14 +146,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wait_recording_traces_only_above_floor() {
+    fn wait_recording_counts_every_wait() {
         let mut s = GuestStats::new(1);
-        s.record_wait(Cycles(10), Cycles(100)); // below 2^10
-        s.record_wait(Cycles(20), Cycles(5_000)); // above
+        s.record_wait(Cycles(100)); // below 2^10
+        s.record_wait(Cycles(5_000)); // above
         assert_eq!(s.lock_acquisitions, 2);
         assert_eq!(s.wait_hist.count(), 2);
-        assert_eq!(s.wait_trace.samples().len(), 1);
-        assert_eq!(s.wait_trace.samples()[0].1.wait, Cycles(5_000));
+        assert_eq!(s.wait_hist.count_at_least_pow2(10), 1);
     }
 
     #[test]
@@ -198,8 +180,8 @@ mod tests {
     #[test]
     fn over_threshold_counts_from_histogram() {
         let mut s = GuestStats::new(1);
-        s.record_wait(Cycles(1), Cycles(1 << 21));
-        s.record_wait(Cycles(2), Cycles(1 << 19));
+        s.record_wait(Cycles(1 << 21));
+        s.record_wait(Cycles(1 << 19));
         assert_eq!(s.over_threshold_count(20), 1);
         assert_eq!(s.over_threshold_count(19), 2);
     }

@@ -2,7 +2,7 @@
 //! conservation, and progress under randomized executor interleavings.
 
 use asman_guest::{Effects, GuestCosts, GuestKernel, GuestWork, NullObserver};
-use asman_sim::{Cycles, SimRng};
+use asman_sim::{CatMask, Cycles, SimRng, TraceCat};
 use asman_workloads::{Op, ScriptProgram};
 use proptest::prelude::*;
 
@@ -18,6 +18,7 @@ fn chaos_run(
 ) -> GuestKernel {
     let p = ScriptProgram::homogeneous("fuzz", threads, script);
     let mut g = GuestKernel::new(Box::new(p), threads, costs, Box::new(NullObserver));
+    g.enable_flight(CatMask::only(TraceCat::Lock), 1 << 16);
     let mut rng = SimRng::new(seed);
     let mut e = Effects::default();
     let mut now = Cycles(0);
@@ -131,10 +132,21 @@ proptest! {
         let s = g.stats();
         // Histogram totals match the acquisition counter.
         prop_assert_eq!(s.wait_hist.count(), s.lock_acquisitions);
-        // Spin + useful are finite and the trace respects its floor.
-        for (_, sample) in s.wait_trace.samples() {
-            prop_assert!(sample.wait >= s.trace_floor);
-        }
+        // The flight `lock` stream holds one acquire per acquisition,
+        // and its waits of at least 2^10 cycles (the Figure 2 scatter
+        // population) are exactly the histogram's over-threshold count.
+        let waits: Vec<u64> = g
+            .flight()
+            .events(TraceCat::Lock)
+            .iter()
+            .filter_map(|e| e.ev.lock_wait())
+            .collect();
+        prop_assert_eq!(g.flight().dropped(TraceCat::Lock), 0);
+        prop_assert_eq!(waits.len() as u64, s.lock_acquisitions);
+        prop_assert_eq!(
+            waits.iter().filter(|&&w| w >= 1 << 10).count() as u64,
+            s.wait_hist.count_at_least_pow2(10)
+        );
         // Transactions only counted when marks existed in the script.
         prop_assert!(s.barriers_completed as usize <= 4_000);
     }

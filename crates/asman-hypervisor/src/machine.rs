@@ -27,10 +27,21 @@ use asman_guest::{Effects, GuestKernel, GuestWork, Vcrd, VcrdUpdate};
 use asman_sim::audit::{OracleQueue, SimQueue};
 use asman_sim::flight::{CatMask, FlightEv, FlightEvent, FlightRecorder, TraceCat};
 use asman_sim::registry::{MetricsRegistry, QuantileHist};
-use asman_sim::{merge_streams, Cycles, EventQueue, Fnv, SimRng, TraceBuffer};
+use asman_sim::{merge_streams, Cycles, EventQueue, Fnv, SimRng};
 
 use crate::config::{CapMode, CoschedPolicy, MachineConfig, VmSpec};
-use crate::metrics::{SchedEvent, SchedEventKind, VmAccounting};
+use crate::metrics::VmAccounting;
+
+/// Kinds of scheduling transitions reported through `trace_sched`.
+#[derive(Clone, Copy)]
+enum SchedEventKind {
+    Dispatch,
+    Preempt,
+    Block,
+    Wake,
+    Park,
+    Unpark,
+}
 
 /// VCPU scheduling state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,7 +276,6 @@ pub struct Machine<Q: SimQueue<Ev> = EventQueue<Ev>> {
     total_weight: u64,
     events_processed: u64,
     run_wall: std::time::Duration,
-    sched_trace: TraceBuffer<SchedEvent>,
     /// Hypervisor-layer flight recorder (sched/credit/cosched
     /// categories). Disabled by default; every record site is guarded by
     /// a one-word mask test, so the disabled cost is a load + branch.
@@ -508,7 +518,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             total_weight,
             events_processed: 0,
             run_wall: std::time::Duration::ZERO,
-            sched_trace: TraceBuffer::disabled(),
             flight: FlightRecorder::disabled(),
             idle_mask,
             queued_mask,
@@ -767,17 +776,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
         self.events.audit_check();
     }
 
-    /// Start recording scheduling transitions (up to `capacity` events)
-    /// for timeline reconstruction.
-    pub fn enable_schedule_trace(&mut self, capacity: usize) {
-        self.sched_trace = TraceBuffer::new(capacity);
-    }
-
-    /// The recorded scheduling transitions.
-    pub fn schedule_trace(&self) -> &TraceBuffer<SchedEvent> {
-        &self.sched_trace
-    }
-
     /// Start flight-recording: the hypervisor records the sched, credit
     /// and cosched categories of `mask`, and every VM's guest kernel
     /// records the lock, futex and barrier categories; each category
@@ -922,9 +920,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 &format!("{p}.guest.spin_kernel_cycles"),
                 stats.spin_kernel_cycles.as_u64(),
             );
-            for &(_, sample) in stats.wait_trace.samples() {
-                reg.observe(&format!("{p}.guest.wait_cycles"), sample.wait.as_u64() as f64);
-            }
             if let Some(episodes) = stats.spin_episodes() {
                 reg.set_hist(&format!("{p}.guest.spin_episode_cycles"), episodes.clone());
             }
@@ -933,24 +928,12 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
 
     #[inline]
     fn trace_sched(&mut self, vcpu: usize, pcpu: usize, kind: SchedEventKind) {
-        if self.sched_trace.is_enabled() {
-            let vm = self.vcpus[vcpu].vm;
-            self.sched_trace.record(
-                self.now,
-                SchedEvent {
-                    vcpu,
-                    vm,
-                    pcpu,
-                    kind,
-                },
-            );
-        }
         if self.flight.is_enabled() {
             self.flight_sched(vcpu, pcpu, kind);
         }
     }
 
-    /// Flight-recorder mirror of `trace_sched`, out of line so the
+    /// Flight-recorder body of `trace_sched`, out of line so the
     /// disabled path stays a single branch in the hot functions.
     #[cold]
     fn flight_sched(&mut self, vcpu: usize, pcpu: usize, kind: SchedEventKind) {
@@ -2450,8 +2433,8 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// equal fingerprints (built from the same configuration) produce
     /// identical futures, so the checkpoint subsystem compares this
     /// between a restored host and its straight-through twin. Wall-time
-    /// and telemetry-only state (run timers, flight buffers, schedule
-    /// traces, latency histograms) is deliberately excluded: it never
+    /// and telemetry-only state (run timers, flight buffers, latency
+    /// histograms) is deliberately excluded: it never
     /// feeds back into scheduling decisions.
     pub fn state_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();

@@ -3,36 +3,6 @@
 use asman_sim::Cycles;
 use serde::{Deserialize, Serialize};
 
-/// Kinds of scheduling transitions recorded by the schedule trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedEventKind {
-    /// VCPU given a PCPU.
-    Dispatch,
-    /// VCPU involuntarily preempted back to a runqueue.
-    Preempt,
-    /// VCPU blocked (guest idle).
-    Block,
-    /// VCPU woken (runnable again).
-    Wake,
-    /// VCPU parked by cap enforcement.
-    Park,
-    /// VCPU unparked at an accounting event.
-    Unpark,
-}
-
-/// One scheduling transition (for timeline reconstruction).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SchedEvent {
-    /// Global VCPU index.
-    pub vcpu: usize,
-    /// Owning VM index.
-    pub vm: usize,
-    /// PCPU involved (the target for dispatches, the source otherwise).
-    pub pcpu: usize,
-    /// Transition kind.
-    pub kind: SchedEventKind,
-}
-
 /// Per-VM CPU accounting.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct VmAccounting {

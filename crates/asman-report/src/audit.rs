@@ -32,11 +32,11 @@ use asman_hypervisor::{
 };
 use asman_sim::{
     check_episode_invariants, detect_lhp, CatMask, Clock, FlightEvent, MetricsRegistry, SimQueue,
+    SweepRunner,
 };
 use asman_workloads::{Op, ScriptProgram};
 use serde::Serialize;
 
-use crate::exec::SweepRunner;
 use crate::scenario::Sched;
 
 /// Flight-recorder capacity per category per layer for tracing cells —

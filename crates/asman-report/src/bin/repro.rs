@@ -591,7 +591,7 @@ fn run_trace(args: &Args) {
 
 fn run_timeline(p: &FigureParams) {
     use asman_report::{Sched, SingleVmScenario, Timeline};
-    use asman_sim::Clock;
+    use asman_sim::{Clock, TraceCat};
     use asman_workloads::{NasBenchmark, NasSpec};
     let clk = Clock::default();
     // Render both panels as strings on the sweep runner, then print in
@@ -602,7 +602,7 @@ fn run_timeline(p: &FigureParams) {
             let sc = SingleVmScenario::new(sched, 32, p.seed);
             let lu = NasSpec::new(NasBenchmark::LU, p.class, 4).build(p.seed ^ 7);
             let mut m = sc.build(Box::new(lu));
-            m.enable_schedule_trace(500_000);
+            m.enable_flight(CatMask::only(TraceCat::Sched).with(TraceCat::Credit), 500_000);
             m.run_until(clk.secs(3));
             let tl = Timeline::from_machine(&m);
             format!(

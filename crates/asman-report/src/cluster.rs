@@ -18,11 +18,10 @@ use asman_cluster::{
     scenario::{self, ConsolidationSpec},
     ClusterConfig, ClusterReport, Policy,
 };
-use asman_sim::{CatMask, FaultPlan, FlightEvent, MetricsRegistry, StreamBudget};
+use asman_sim::{CatMask, FaultPlan, FlightEvent, MetricsRegistry, StreamBudget, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
 
-use crate::exec::SweepRunner;
 use crate::figures::ShapeCheck;
 
 /// Parameters of the cluster experiment.
@@ -541,7 +540,7 @@ mod tests {
     /// so total retention never exceeds the budget.
     #[test]
     fn stream_budget_caps_total_capture_memory() {
-        asman_sim::trace::set_overflow_warnings(false);
+        asman_sim::flight::set_overflow_warnings(false);
         let p = ClusterParams {
             epochs: 2,
             jobs: 1,
@@ -566,6 +565,6 @@ mod tests {
                 "truncation keeps each stream's time-ordered prefix"
             );
         }
-        asman_sim::trace::set_overflow_warnings(true);
+        asman_sim::flight::set_overflow_warnings(true);
     }
 }

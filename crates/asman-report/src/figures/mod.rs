@@ -57,8 +57,8 @@ pub struct FigureParams {
 
 impl FigureParams {
     /// The sweep executor configured by [`FigureParams::jobs`].
-    pub fn runner(&self) -> crate::exec::SweepRunner {
-        crate::exec::SweepRunner::new(self.jobs)
+    pub fn runner(&self) -> asman_sim::SweepRunner {
+        asman_sim::SweepRunner::new(self.jobs)
     }
 }
 

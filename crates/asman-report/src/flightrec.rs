@@ -13,7 +13,8 @@
 //! * **LHP episodes** (`lhp_<sched>.json`) — the
 //!   [`LhpSummary`] of [`detect_lhp`] over the merged stream.
 //! * **Metrics** (`metrics_<sched>.json`) — the run's
-//!   [`MetricsRegistry`] dump.
+//!   [`MetricsRegistry`] dump, plus each VM's `guest.wait_cycles`
+//!   histogram of the recorded waits of at least 2^10 cycles.
 //! * **Text summary** (`summary_<sched>.txt`, also printed) — per
 //!   category seen/retained/dropped counts and the worst LHP episodes.
 //!
@@ -36,6 +37,7 @@ use serde::{Serialize, Value};
 
 use crate::figures::FigureParams;
 use crate::scenario::{Sched, SingleVmScenario};
+use crate::window::SCATTER_FLOOR;
 
 /// Simulated window traced by [`capture_bundles`] (seconds).
 pub const TRACE_WINDOW_SECS: u64 = 3;
@@ -682,6 +684,13 @@ pub fn capture(m: &mut Machine, sched: &'static str) -> TraceArtifacts {
 
     let mut reg = MetricsRegistry::new();
     m.export_metrics(&mut reg);
+    for e in &events {
+        if let FlightEv::LockAcquire { vm, wait, .. } = e.ev {
+            if wait >= SCATTER_FLOOR {
+                reg.observe(&format!("vm{vm}.guest.wait_cycles"), wait as f64);
+            }
+        }
+    }
     reg.inc("lhp.episodes", lhp.episodes);
     reg.inc("lhp.preempted_cycles", lhp.total_preempted.as_u64());
     reg.inc("lhp.wasted_spin_cycles", lhp.total_wasted_spin.as_u64());
@@ -904,7 +913,7 @@ mod tests {
         use asman_hypervisor::{MachineConfig, VmSpec};
         use asman_workloads::{Op, ScriptProgram};
 
-        asman_sim::trace::set_overflow_warnings(false);
+        asman_sim::flight::set_overflow_warnings(false);
         let clk = Clock::default();
         let mk = || {
             Box::new(
@@ -963,7 +972,7 @@ mod tests {
             "summary must warn about drops:\n{}",
             art.summary
         );
-        asman_sim::trace::set_overflow_warnings(true);
+        asman_sim::flight::set_overflow_warnings(true);
     }
 
     #[test]
@@ -971,7 +980,7 @@ mod tests {
         use asman_hypervisor::{MachineConfig, VmSpec};
         use asman_workloads::{Op, ScriptProgram};
 
-        asman_sim::trace::set_overflow_warnings(false);
+        asman_sim::flight::set_overflow_warnings(false);
         let clk = Clock::default();
         let mk = || {
             Box::new(
@@ -1000,7 +1009,7 @@ mod tests {
             events.windows(2).all(|w| w[0].t <= w[1].t),
             "merged stream must stay time-ordered past capacity"
         );
-        asman_sim::trace::set_overflow_warnings(true);
+        asman_sim::flight::set_overflow_warnings(true);
     }
 
     /// One abort-then-commit retry chain: the chrome trace must carry

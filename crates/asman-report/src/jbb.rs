@@ -92,7 +92,7 @@ impl JbbScenario {
     /// [`JbbScenario::sweep`], with the per-warehouse machines fanned out
     /// over `runner`'s worker pool. Point order (and every value) is
     /// identical to the sequential sweep.
-    pub fn sweep_with(&self, max_w: usize, runner: &crate::exec::SweepRunner) -> Vec<JbbPoint> {
+    pub fn sweep_with(&self, max_w: usize, runner: &asman_sim::SweepRunner) -> Vec<JbbPoint> {
         runner.map((1..=max_w).collect(), |w| self.run(w))
     }
 

@@ -14,7 +14,7 @@ static QUIET: AtomicBool = AtomicBool::new(false);
 /// trace-buffer overflow warnings (they go to stderr too).
 pub fn set_quiet(quiet: bool) {
     QUIET.store(quiet, Ordering::Relaxed);
-    asman_sim::trace::set_overflow_warnings(!quiet);
+    asman_sim::flight::set_overflow_warnings(!quiet);
 }
 
 /// Whether quiet mode is on.

@@ -1,13 +1,42 @@
 //! Schedule-timeline reconstruction and rendering.
 //!
-//! Turns a machine's schedule trace into per-VCPU online intervals and an
-//! ASCII Gantt chart — the tool that made the duty-cycle geometry of the
-//! calibration visible (aligned vs staggered windows, park/unpark
-//! quantization, gang formation under coscheduling).
+//! Turns a machine's flight-recorded scheduling transitions into
+//! per-VCPU online intervals and an ASCII Gantt chart — the tool that
+//! made the duty-cycle geometry of the calibration visible (aligned vs
+//! staggered windows, park/unpark quantization, gang formation under
+//! coscheduling).
 
-use asman_hypervisor::{Machine, SchedEventKind};
-use asman_sim::Cycles;
+use asman_hypervisor::Machine;
+use asman_sim::{merge_streams, Cycles, FlightEv, FlightEvent, TraceCat};
 use serde::Serialize;
+
+/// The VCPU transitions a timeline reads, as `(time, vcpu, event)` in
+/// time order: the hypervisor recorder's dispatches, preemptions, blocks
+/// and wakes (`sched` category; steals and gang migrations are skipped)
+/// merged with its parks (`credit` category). At equal timestamps the
+/// merge puts `sched` events first; that cannot reorder a VCPU's own
+/// park and dispatch, because a parked VCPU is not dispatched before its
+/// unpark. The machine must record both categories, e.g. with
+/// `enable_flight(CatMask::only(TraceCat::Sched).with(TraceCat::Credit), ..)`.
+fn transitions(m: &Machine) -> impl Iterator<Item = (Cycles, usize, FlightEv)> {
+    let flight = m.flight();
+    let parks = flight
+        .events(TraceCat::Credit)
+        .iter()
+        .filter(|e| matches!(e.ev, FlightEv::Park { .. }))
+        .copied()
+        .collect();
+    merge_streams(vec![flight.events(TraceCat::Sched).to_vec(), parks])
+        .into_iter()
+        .filter_map(|FlightEvent { t, ev }| match ev {
+            FlightEv::Dispatch { vcpu, .. }
+            | FlightEv::Preempt { vcpu, .. }
+            | FlightEv::Block { vcpu, .. }
+            | FlightEv::Wake { vcpu, .. }
+            | FlightEv::Park { vcpu, .. } => Some((t, vcpu as usize, ev)),
+            _ => None,
+        })
+}
 
 /// A contiguous online interval of one VCPU.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -24,7 +53,7 @@ pub struct OnlineSpan {
     pub end: Cycles,
 }
 
-/// Per-VCPU online spans reconstructed from the schedule trace.
+/// Per-VCPU online spans reconstructed from the flight recorder.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Timeline {
     /// All completed spans, in start order.
@@ -34,25 +63,25 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Reconstruct from a machine whose schedule trace was enabled with
-    /// [`Machine::enable_schedule_trace`].
+    /// Reconstruct from a machine whose hypervisor flight recorder
+    /// records the `sched` and `credit` categories.
     pub fn from_machine(m: &Machine) -> Timeline {
         let mut open: Vec<Option<(Cycles, usize, usize)>> = Vec::new();
         let mut spans = Vec::new();
         let mut max_vcpu = 0;
-        for &(t, ev) in m.schedule_trace().samples() {
-            max_vcpu = max_vcpu.max(ev.vcpu);
-            if open.len() <= ev.vcpu {
-                open.resize(ev.vcpu + 1, None);
+        for (t, vcpu, ev) in transitions(m) {
+            max_vcpu = max_vcpu.max(vcpu);
+            if open.len() <= vcpu {
+                open.resize(vcpu + 1, None);
             }
-            match ev.kind {
-                SchedEventKind::Dispatch => {
-                    open[ev.vcpu] = Some((t, ev.pcpu, ev.vm));
+            match ev {
+                FlightEv::Dispatch { vm, pcpu, .. } => {
+                    open[vcpu] = Some((t, pcpu as usize, vm as usize));
                 }
-                SchedEventKind::Preempt | SchedEventKind::Block | SchedEventKind::Park => {
-                    if let Some((start, pcpu, vm)) = open[ev.vcpu].take() {
+                FlightEv::Preempt { .. } | FlightEv::Block { .. } | FlightEv::Park { .. } => {
+                    if let Some((start, pcpu, vm)) = open[vcpu].take() {
                         spans.push(OnlineSpan {
-                            vcpu: ev.vcpu,
+                            vcpu,
                             vm,
                             pcpu,
                             start,
@@ -82,20 +111,21 @@ impl Timeline {
             .sum()
     }
 
-    /// Wake-to-dispatch latencies per VCPU, reconstructed from the
-    /// schedule trace (the metric behind Xen's BOOST mechanism).
+    /// Wake-to-dispatch latencies per VCPU (the metric behind Xen's
+    /// BOOST mechanism), from the same flight categories as
+    /// [`Timeline::from_machine`].
     pub fn wake_latencies(m: &Machine) -> Vec<(usize, Cycles)> {
         let mut pending: Vec<Option<Cycles>> = Vec::new();
         let mut out = Vec::new();
-        for &(t, ev) in m.schedule_trace().samples() {
-            if pending.len() <= ev.vcpu {
-                pending.resize(ev.vcpu + 1, None);
+        for (t, vcpu, ev) in transitions(m) {
+            if pending.len() <= vcpu {
+                pending.resize(vcpu + 1, None);
             }
-            match ev.kind {
-                SchedEventKind::Wake => pending[ev.vcpu] = Some(t),
-                SchedEventKind::Dispatch => {
-                    if let Some(w) = pending[ev.vcpu].take() {
-                        out.push((ev.vcpu, t.saturating_sub(w)));
+            match ev {
+                FlightEv::Wake { .. } => pending[vcpu] = Some(t),
+                FlightEv::Dispatch { .. } => {
+                    if let Some(w) = pending[vcpu].take() {
+                        out.push((vcpu, t.saturating_sub(w)));
                     }
                 }
                 _ => {}
@@ -135,14 +165,14 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::scenario::{Sched, SingleVmScenario};
-    use asman_sim::Clock;
+    use asman_sim::{CatMask, Clock};
     use asman_workloads::{NasBenchmark, NasSpec, ProblemClass};
 
     fn traced_machine(sched: Sched) -> Machine {
         let sc = SingleVmScenario::new(sched, 32, 42);
         let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
         let mut m = sc.build(Box::new(lu));
-        m.enable_schedule_trace(200_000);
+        m.enable_flight(CatMask::only(TraceCat::Sched).with(TraceCat::Credit), 200_000);
         m.run_until(Clock::default().secs(2));
         m
     }

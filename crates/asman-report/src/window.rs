@@ -3,12 +3,21 @@
 //! The paper's Figures 1(b), 2 and 8 observe spinlock waits over a fixed
 //! 30-second period while the benchmark runs. [`WaitWindow`] reproduces
 //! that: it advances a machine to the window start, snapshots the wait
-//! histogram, enables the per-wait trace, runs the window, and reports
-//! the in-window population.
+//! histogram, arms the observed VM's flight `lock` stream, runs the
+//! window, and reports the in-window population.
 
 use asman_hypervisor::Machine;
-use asman_sim::{Cycles, Log2Histogram};
+use asman_sim::{CatMask, Cycles, Log2Histogram, TraceCat};
 use serde::{Deserialize, Serialize};
+
+/// Smallest wait kept as a scatter sample (the paper collects spinlocks
+/// with waits over 2^10 cycles).
+pub(crate) const SCATTER_FLOOR: u64 = 1 << 10;
+
+/// Retained `lock` events per window. The stream holds every contend,
+/// acquire and release, so this sits far above the longest window's
+/// traffic; an overflow panics instead of cutting the scatter short.
+const LOCK_CAPACITY: usize = 1 << 24;
 
 /// Spinlock-wait observations collected over one time window.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -32,29 +41,30 @@ pub struct WaitWindow {
 
 impl WaitWindow {
     /// Run `machine` and collect the wait behaviour of VM `vm` during
-    /// `[start, start + length]`.
+    /// `[start, start + length]`. The VM's guest flight recorder is
+    /// armed for the window only, replacing any earlier one, and is
+    /// disarmed afterwards.
+    ///
+    /// # Panics
+    ///
+    /// If the window's `lock` stream overflows its capacity.
     pub fn collect(machine: &mut Machine, vm: usize, start: Cycles, length: Cycles) -> Self {
         let clk = machine.config().clock;
-        // Disable tracing while reaching the window start.
-        machine
-            .vm_kernel_mut(vm)
-            .stats_mut()
-            .wait_trace
-            .set_enabled(false);
         machine.run_until(start);
         let before: Log2Histogram = machine.vm_kernel(vm).stats().wait_hist.clone();
         let locks_before = machine.vm_kernel(vm).stats().lock_acquisitions;
-        {
-            let tr = &mut machine.vm_kernel_mut(vm).stats_mut().wait_trace;
-            tr.clear();
-            tr.set_enabled(true);
-        }
-        machine.run_until(start + length);
         machine
             .vm_kernel_mut(vm)
-            .stats_mut()
-            .wait_trace
-            .set_enabled(false);
+            .enable_flight(CatMask::only(TraceCat::Lock), LOCK_CAPACITY);
+        machine.run_until(start + length);
+        // Taking the recorder leaves a disabled one in its place.
+        let flight = std::mem::take(machine.vm_kernel_mut(vm).flight_mut());
+        assert_eq!(
+            flight.dropped(TraceCat::Lock),
+            0,
+            "wait window of vm {vm} overflowed the {LOCK_CAPACITY}-event lock stream; \
+             the scatter would be cut short"
+        );
         let stats = machine.vm_kernel(vm).stats();
         let after = &stats.wait_hist;
         let cum = |h: &Log2Histogram, e: u32| h.count_at_least_pow2(e);
@@ -65,11 +75,11 @@ impl WaitWindow {
             over_2_10: cum(after, 10) - cum(&before, 10),
             over_2_20: cum(after, 20) - cum(&before, 20),
             over_2_25: cum(after, 25) - cum(&before, 25),
-            samples: stats
-                .wait_trace
-                .samples()
+            samples: flight
+                .events(TraceCat::Lock)
                 .iter()
-                .map(|(_, s)| s.wait.as_u64())
+                .filter_map(|e| e.ev.lock_wait())
+                .filter(|&w| w >= SCATTER_FLOOR)
                 .collect(),
         }
     }
@@ -95,5 +105,6 @@ mod tests {
         assert!(w.over_2_25 <= w.over_2_20);
         // Every retained sample is above the collection floor.
         assert!(w.samples.iter().all(|&s| s >= 1 << 10));
+        assert!(!m.vm_kernel(1).flight().is_enabled(), "recorder disarmed");
     }
 }

@@ -21,10 +21,32 @@
 //!   are recorded in simulation order; merging streams uses a stable sort
 //!   so any export is bit-identical across runs and `--jobs` values.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::Cycles;
-use crate::trace::overflow_warning;
+
+/// Global gate for buffer-overflow warnings. Defaults to on; quiet modes
+/// (e.g. `repro -q`) and tests that overflow buffers on purpose turn it
+/// off.
+static WARN_ON_OVERFLOW: AtomicBool = AtomicBool::new(true);
+
+/// Enable or disable the once-per-buffer overflow warnings emitted by
+/// the flight recorder, the cluster stream budget and the series
+/// sampler.
+pub fn set_overflow_warnings(on: bool) {
+    WARN_ON_OVERFLOW.store(on, Ordering::Relaxed);
+}
+
+/// Emit a buffer-overflow warning to stderr, unless warnings are
+/// suppressed via [`set_overflow_warnings`]. Callers are responsible for
+/// the once-per-buffer latch.
+pub fn overflow_warning(msg: &str) {
+    if WARN_ON_OVERFLOW.load(Ordering::Relaxed) {
+        eprintln!("warning: {msg}");
+    }
+}
 
 /// Event categories, each independently enableable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -477,6 +499,16 @@ impl FlightEv {
         }
     }
 
+    /// The waiting time of a [`FlightEv::LockAcquire`], in cycles; `None`
+    /// for every other event.
+    #[inline]
+    pub fn lock_wait(&self) -> Option<u64> {
+        match *self {
+            FlightEv::LockAcquire { wait, .. } => Some(wait),
+            _ => None,
+        }
+    }
+
     /// Rewrite a guest-layer event recorded with VM-local indices to
     /// global ones: `vm` becomes `vm_idx` and the VCPU slot is mapped
     /// through `vcpu_map` (slot → global VCPU index). Hypervisor-layer
@@ -815,7 +847,7 @@ mod tests {
 
     #[test]
     fn capacity_drops_are_counted_per_category() {
-        crate::trace::set_overflow_warnings(false);
+        set_overflow_warnings(false);
         let mut r = FlightRecorder::new(CatMask::ALL, 2);
         for i in 0..5 {
             r.record(Cycles(i), dispatch(0));
@@ -826,7 +858,7 @@ mod tests {
         assert_eq!(r.dropped(TraceCat::Sched), 3);
         assert_eq!(r.dropped(TraceCat::Lock), 0);
         assert_eq!(r.total_dropped(), 3);
-        crate::trace::set_overflow_warnings(true);
+        set_overflow_warnings(true);
     }
 
     /// Regression: `dropped()` used to be derived as `seen - retained`,
@@ -837,7 +869,7 @@ mod tests {
     /// genuine capacity rejection.
     #[test]
     fn drain_does_not_count_as_dropping() {
-        crate::trace::set_overflow_warnings(false);
+        set_overflow_warnings(false);
         let mut r = FlightRecorder::new(CatMask::ALL, 4);
         r.record(Cycles(1), dispatch(0));
         r.record(Cycles(2), dispatch(1));
@@ -852,12 +884,12 @@ mod tests {
         assert_eq!(r.dropped(TraceCat::Sched), 2);
         assert_eq!(r.drain_events().len(), 4);
         assert_eq!(r.dropped(TraceCat::Sched), 2, "unchanged by the second drain");
-        crate::trace::set_overflow_warnings(true);
+        set_overflow_warnings(true);
     }
 
     #[test]
     fn clear_resets_counts_but_keeps_mask() {
-        crate::trace::set_overflow_warnings(false);
+        set_overflow_warnings(false);
         let mut r = FlightRecorder::new(CatMask::ALL, 1);
         r.record(Cycles(1), dispatch(0));
         r.record(Cycles(2), dispatch(0));
@@ -866,12 +898,12 @@ mod tests {
         assert_eq!(r.total_dropped(), 0);
         r.record(Cycles(3), dispatch(1));
         assert_eq!(r.events(TraceCat::Sched).len(), 1);
-        crate::trace::set_overflow_warnings(true);
+        set_overflow_warnings(true);
     }
 
     #[test]
     fn overflow_warns_once_per_category_until_cleared() {
-        crate::trace::set_overflow_warnings(false);
+        set_overflow_warnings(false);
         let mut r = FlightRecorder::new(CatMask::ALL, 1);
         assert!(!r.warned(TraceCat::Sched));
         r.record(Cycles(1), dispatch(0));
@@ -885,7 +917,7 @@ mod tests {
         r.clear();
         assert!(!r.warned(TraceCat::Sched), "clear re-arms the warning");
         assert_eq!(r.total_dropped(), 0);
-        crate::trace::set_overflow_warnings(true);
+        set_overflow_warnings(true);
     }
 
     #[test]
@@ -975,7 +1007,7 @@ mod tests {
 
     #[test]
     fn stream_budget_truncates_and_warns_exactly_once() {
-        crate::trace::set_overflow_warnings(false);
+        set_overflow_warnings(false);
         let mk = |n: u64| -> Vec<FlightEvent> {
             (0..n).map(|i| FlightEvent { t: Cycles(i), ev: dispatch(0) }).collect()
         };
@@ -1001,6 +1033,6 @@ mod tests {
         assert_eq!(budget.dropped(), 9);
         assert_eq!(budget.retained(), 5);
         assert!(budget.warned());
-        crate::trace::set_overflow_warnings(true);
+        set_overflow_warnings(true);
     }
 }

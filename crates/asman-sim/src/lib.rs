@@ -18,10 +18,10 @@
 //! * [`stats`] — log₂ histograms (the paper reports spinlock waits in
 //!   powers-of-two cycle buckets) and online mean/variance.
 //! * [`quantile`] — streaming percentile estimation (P² algorithm).
-//! * [`trace`] — bounded trace recorder for per-event series such as the
-//!   spinlock wait scatter plots of Figures 2 and 8.
 //! * [`flight`] — the cross-layer flight recorder: typed scheduler/guest
-//!   events in per-category bounded buffers with drop accounting.
+//!   events in per-category bounded buffers with drop accounting. It is
+//!   the only per-event stream; the schedule timeline and the spinlock
+//!   wait scatter of Figures 2 and 8 are read from it.
 //! * [`lhp`] — lock-holder-preemption episode detection over merged
 //!   flight-recorder streams.
 //! * [`fault`] — deterministic fault-injection plans (host crashes,
@@ -55,7 +55,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use audit::{OracleQueue, SimQueue};
 pub use event::{EventQueue, ScheduledAt};
@@ -74,4 +73,3 @@ pub use telemetry::{
     detect_anomalies, sparkline, Anomaly, EpochSample, HostMetric, HostSample, SeriesSampler,
 };
 pub use time::{Clock, Cycles};
-pub use trace::TraceBuffer;

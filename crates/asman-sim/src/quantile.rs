@@ -2,7 +2,7 @@
 //!
 //! Jain & Chlamtac's P² estimator maintains a target quantile of a
 //! stream in O(1) space — used for wait-time percentiles where keeping
-//! every sample (as [`crate::TraceBuffer`] does for the scatter figures)
+//! every sample (as the flight recorder does for the scatter figures)
 //! would be wasteful.
 
 use serde::{Deserialize, Serialize};

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use serde::Serialize;
 
-use crate::trace::overflow_warning;
+use crate::flight::overflow_warning;
 
 /// One host's slice of an epoch sample.
 ///
@@ -82,7 +82,7 @@ pub struct EpochSample {
 ///
 /// Keeps the most recent `capacity` samples; older samples are evicted
 /// and counted. The first eviction emits a single stderr warning (via
-/// [`crate::trace::overflow_warning`], so `-q` runs can suppress it).
+/// [`crate::flight::overflow_warning`], so `-q` runs can suppress it).
 #[derive(Clone, Debug)]
 pub struct SeriesSampler {
     ring: VecDeque<EpochSample>,

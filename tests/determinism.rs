@@ -3,7 +3,8 @@
 
 use asman::prelude::*;
 
-fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
+/// A class-S LU guest beside dom0, run to completion.
+fn finished_run(seed: u64, policy: Policy) -> Machine {
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(seed ^ 7);
     let dom0 = BackgroundService::new(BackgroundConfig::default(), 8, seed ^ 0xD0);
     let mut m = SimulationBuilder::new()
@@ -15,6 +16,11 @@ fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
             .cap(CapMode::NonWorkConserving))
         .build();
     m.run_to_completion(Clock::default().secs(600));
+    m
+}
+
+fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
+    let m = finished_run(seed, policy);
     let s = m.vm_kernel(1).stats();
     (
         s.finished_at.expect("finished").as_u64(),
@@ -66,4 +72,19 @@ fn repeated_construction_is_stable_across_policies() {
             "{policy:?} must be reproducible"
         );
     }
+}
+
+/// Literal `state_fingerprint` pins. The fingerprint folds every piece
+/// of simulation state, including each guest's over-2^10 wait count, so
+/// a refactor of the measurement plumbing that shifts any folded field
+/// fails here, not only in the benchmark's pins.
+#[test]
+fn state_fingerprint_is_pinned() {
+    let credit = finished_run(11, Policy::Credit).state_fingerprint();
+    let asman = finished_run(11, Policy::Asman).state_fingerprint();
+    assert_eq!(
+        (credit, asman),
+        (0x0f30_a06b_96ab_cf37, 0x739c_751a_feae_4e2b),
+        "state_fingerprint drifted: credit {credit:#018x}, asman {asman:#018x}"
+    );
 }

@@ -5,7 +5,8 @@
 
 use asman::core::LocalitySegmenter;
 use asman::prelude::*;
-use asman::report::{Sched, SingleVmScenario, WaitWindow};
+use asman::report::{Sched, SingleVmScenario};
+use asman::sim::{CatMask, TraceCat};
 
 #[test]
 fn over_threshold_events_cluster_into_localities() {
@@ -13,19 +14,28 @@ fn over_threshold_events_cluster_into_localities() {
     let sc = SingleVmScenario::new(Sched::Credit, 32, 42); // 22.2%
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::W, 4).build(7);
     let mut m = sc.build(Box::new(lu));
-    // Collect timestamps of over-threshold waits in a 10 s window.
-    m.vm_kernel_mut(1).stats_mut().trace_floor = Cycles::pow2(20);
-    let w = WaitWindow::collect(&mut m, 1, clk.ms(500), clk.secs(10));
+    // Collect timestamps of over-threshold (>= 2^20) waits in a 10 s
+    // window from VM 1's flight `lock` stream.
+    m.run_until(clk.ms(500));
+    m.vm_kernel_mut(1).enable_flight(CatMask::only(TraceCat::Lock), 1 << 22);
+    m.run_until(clk.ms(500) + clk.secs(10));
+    let flight = m.vm_kernel(1).flight();
+    assert_eq!(flight.dropped(TraceCat::Lock), 0, "lock stream overflowed");
+    let over: Vec<Cycles> = flight
+        .events(TraceCat::Lock)
+        .iter()
+        .filter(|e| e.ev.lock_wait().is_some_and(|w| w >= 1 << 20))
+        .map(|e| e.t)
+        .collect();
     assert!(
-        w.over_2_20 >= 10,
+        over.len() >= 10,
         "need a meaningful over-threshold population, got {}",
-        w.over_2_20
+        over.len()
     );
     // Reconstruct localities with a merge gap of two scheduling slots.
-    let trace = m.vm_kernel(1).stats().wait_trace.samples().to_vec();
     let mut seg = LocalitySegmenter::new(clk.ms(20));
-    for (t, _) in &trace {
-        seg.push(*t);
+    for &t in &over {
+        seg.push(t);
     }
     let locs = seg.finish();
     assert!(!locs.is_empty());

@@ -3,23 +3,30 @@
 
 use asman::prelude::*;
 use asman::report::{Sched, SingleVmScenario};
-use asman::sim::P2Quantile;
+use asman::sim::{CatMask, P2Quantile, TraceCat};
+
+/// Run LU at `weight` for 3 s with VM 1's flight `lock` stream armed and
+/// return its spinlock waits of at least 2^10 cycles, in order.
+fn traced_waits(weight: u32) -> Vec<u64> {
+    let clk = Clock::default();
+    let sc = SingleVmScenario::new(Sched::Credit, weight, 42);
+    let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
+    let mut m = sc.build(Box::new(lu));
+    m.vm_kernel_mut(1).enable_flight(CatMask::only(TraceCat::Lock), 1 << 20);
+    m.run_until(clk.secs(3));
+    let flight = m.vm_kernel(1).flight();
+    assert_eq!(flight.dropped(TraceCat::Lock), 0, "lock stream overflowed");
+    flight
+        .events(TraceCat::Lock)
+        .iter()
+        .filter_map(|e| e.ev.lock_wait())
+        .filter(|&w| w >= 1 << 10)
+        .collect()
+}
 
 #[test]
 fn p2_median_matches_trace_median_on_real_waits() {
-    let clk = Clock::default();
-    let sc = SingleVmScenario::new(Sched::Credit, 64, 42);
-    let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
-    let mut m = sc.build(Box::new(lu));
-    m.run_until(clk.secs(3));
-    let waits: Vec<u64> = m
-        .vm_kernel(1)
-        .stats()
-        .wait_trace
-        .samples()
-        .iter()
-        .map(|(_, s)| s.wait.as_u64())
-        .collect();
+    let waits = traced_waits(64);
     assert!(waits.len() > 200, "need wait data, got {}", waits.len());
     let mut est = P2Quantile::new(0.5);
     for &w in &waits {
@@ -40,15 +47,10 @@ fn p2_median_matches_trace_median_on_real_waits() {
 fn tail_quantile_reflects_over_threshold_population() {
     // At a low online rate the p999 of the traced waits reaches the
     // over-threshold region; at 100% it does not.
-    let clk = Clock::default();
     let run = |weight: u32| {
-        let sc = SingleVmScenario::new(Sched::Credit, weight, 42);
-        let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
-        let mut m = sc.build(Box::new(lu));
-        m.run_until(clk.secs(3));
         let mut est = P2Quantile::new(0.999);
-        for (_, s) in m.vm_kernel(1).stats().wait_trace.samples() {
-            est.observe(s.wait.as_u64() as f64);
+        for w in traced_waits(weight) {
+            est.observe(w as f64);
         }
         est.estimate().unwrap_or(0.0)
     };
