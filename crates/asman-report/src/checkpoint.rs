@@ -9,6 +9,8 @@
 //! `serde_json` path as the reports and traces.
 
 use asman_cluster::Checkpoint;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Canonical file name of the checkpoint taken at `epoch`:
@@ -55,11 +57,24 @@ pub fn latest_checkpoint(dir: &Path) -> Result<PathBuf, String> {
 
 /// Write `ck` into `dir` under its canonical name, creating the
 /// directory if needed. Returns the written path.
+///
+/// The bytes go to `.CKPT_<epoch>.json.tmp` first (a name
+/// [`ckpt_epoch`] rejects), are synced, and are renamed into place, and
+/// then the directory is synced. A kill mid-write leaves at worst a
+/// stray temp file, never a truncated `CKPT_*` that `--resume DIR`
+/// would pick over the previous good checkpoint.
 pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(ckpt_filename(ck.state.epoch));
+    let name = ckpt_filename(ck.state.epoch);
+    let path = dir.join(&name);
+    let tmp = dir.join(format!(".{name}.tmp"));
     let json = serde_json::to_vec_pretty(&ck.to_value()).expect("serialize checkpoint");
-    std::fs::write(&path, json)?;
+    let mut file = File::create(&tmp)?;
+    file.write_all(&json)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, &path)?;
+    File::open(dir)?.sync_all()?;
     Ok(path)
 }
 
@@ -136,6 +151,39 @@ mod tests {
         std::fs::write(&bad, "{\"kind\": \"other\", \"version\": 1}").unwrap();
         let err = read_checkpoint(&bad).unwrap_err();
         assert!(err.contains("not a checkpoint"), "got {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill during a write leaves only the temp file behind; discovery
+    /// skips it, and a completed write leaves none.
+    #[test]
+    fn interrupted_writes_never_shadow_the_last_good_checkpoint() {
+        let mut c = config().build_cluster(1);
+        for _ in 0..2 {
+            c.run_epoch();
+        }
+        let dir = std::env::temp_dir().join("asman-ckpt-io-atomic");
+        let _ = std::fs::remove_dir_all(&dir);
+        let good = write_checkpoint(&dir, &Checkpoint::capture(&c, config())).expect("write");
+        // A truncated write of a later epoch, as a kill leaves it.
+        std::fs::write(dir.join(format!(".{}.tmp", ckpt_filename(3))), "{\"kind\": \"asm").unwrap();
+        assert_eq!(latest_checkpoint(&dir).expect("discover"), good);
+        assert!(read_checkpoint(&good).is_ok());
+
+        c.run_epoch();
+        c.run_epoch();
+        let newest = write_checkpoint(&dir, &Checkpoint::capture(&c, config())).expect("write");
+        assert_eq!(latest_checkpoint(&dir).expect("discover"), newest);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [".CKPT_000000003.json.tmp", "CKPT_000000002.json", "CKPT_000000004.json"],
+            "a completed write leaves no temp file of its own"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

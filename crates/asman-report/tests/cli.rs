@@ -338,6 +338,15 @@ fn resume_round_trip_version_and_horizon_checks() {
         &["soak", "--resume", future.to_str().unwrap()],
         "99 unsupported (this build reads versions 1..=2)",
     );
+
+    // Nesting deep enough to overflow a recursive parser's stack is a
+    // parse error, not an abort.
+    let deep = dir.join("CKPT_deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    assert_usage_error(
+        &["soak", "--resume", deep.to_str().unwrap()],
+        "recursion limit exceeded at byte 127",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
