@@ -81,6 +81,22 @@ impl Effects {
         self.sleep_timers.clear();
         self.vcrd = None;
     }
+
+    /// Whether no effect is pending. Most guest steps produce none, so
+    /// the hypervisor tests this before it applies anything. The
+    /// destructuring names every field, so a new one cannot be missed.
+    pub fn is_empty(&self) -> bool {
+        let Effects {
+            wake_vcpus,
+            refresh_vcpus,
+            sleep_timers,
+            vcrd,
+        } = self;
+        wake_vcpus.is_empty()
+            && refresh_vcpus.is_empty()
+            && sleep_timers.is_empty()
+            && vcrd.is_none()
+    }
 }
 
 struct LockState {
@@ -1437,7 +1453,7 @@ fn fold_purpose(p: &LockPurpose, h: &mut asman_sim::Fnv) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::NullObserver;
+    use crate::monitor::{NullObserver, Vcrd};
     use asman_workloads::ScriptProgram;
 
     /// Lock waits of the guest's flight `lock` stream, in acquisition
@@ -1456,6 +1472,36 @@ mod tests {
 
     fn fx() -> Effects {
         Effects::default()
+    }
+
+    /// `is_empty` sees every kind of effect, and `clear` empties all.
+    #[test]
+    fn effects_is_empty_covers_every_field() {
+        assert!(fx().is_empty());
+        let cases: [fn(&mut Effects); 4] = [
+            |e| e.wake_vcpus.push(0),
+            |e| e.refresh_vcpus.push(1),
+            |e| e.sleep_timers.push((0, Cycles(5))),
+            |e| {
+                e.vcrd = Some(VcrdUpdate {
+                    vcrd: Vcrd::Low,
+                    expire_in: None,
+                })
+            },
+        ];
+        for add in cases {
+            let mut e = fx();
+            add(&mut e);
+            assert!(!e.is_empty());
+            e.clear();
+            assert!(e.is_empty());
+        }
+        // A pure compute segment completes without effects.
+        let p = ScriptProgram::new("t", vec![vec![Op::Compute(Cycles(1_000))]]);
+        let mut g = GuestKernel::new(Box::new(p), 1, costs(), Box::new(NullObserver));
+        let mut e = fx();
+        g.dispatch(0, Cycles(0), Cycles(0), &mut e);
+        assert!(e.is_empty());
     }
 
     /// Single thread, pure compute: dispatch -> Timed -> work_complete ->

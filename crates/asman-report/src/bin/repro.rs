@@ -621,6 +621,7 @@ fn run_timeline(p: &FigureParams) {
 /// `Machine::perf()`. Writes `BENCH_engine.json` (into the `--json`
 /// directory, or the working directory).
 fn run_perf(args: &Args) {
+    use asman_hypervisor::Ev;
     use asman_report::{Sched, SingleVmScenario};
     use asman_workloads::{NasBenchmark, NasSpec};
     use serde::Serialize;
@@ -679,7 +680,7 @@ fn run_perf(args: &Args) {
     const TRACED_CAPACITY: usize = 250_000;
     const STATES: [Rec; 3] = [Rec::Off, Rec::Gated, Rec::Traced];
     let p = &args.params;
-    let run_once = |sched: Sched, rec: Rec| -> (u64, f64) {
+    let run_once = |sched: Sched, rec: Rec| -> asman_hypervisor::PerfSnapshot {
         let sc = SingleVmScenario::new(sched, 32, p.seed);
         let lu = NasSpec::new(NasBenchmark::LU, p.class, 4).build(p.seed ^ 7);
         let mut m = sc.build(Box::new(lu));
@@ -690,34 +691,38 @@ fn run_perf(args: &Args) {
         }
         let clk = m.config().clock;
         m.run_to_completion(clk.secs(sc.horizon_secs));
-        let perf = m.perf();
-        (perf.events, perf.wall.as_secs_f64())
+        m.perf()
     };
     // All three recorder states of one scheduler, measured together:
-    // returns the median (events, wall) per state in STATES order.
-    let measure_states = |sched: Sched| -> [(u64, f64); 3] {
+    // returns the best (events, wall) per state in STATES order, and
+    // the per-kind event counts of one run (identical in every run).
+    let measure_states = |sched: Sched| -> ([(u64, f64); 3], [u64; Ev::KINDS.len()]) {
+        let mut by_kind = [0; Ev::KINDS.len()];
         for rec in STATES {
-            run_once(sched, rec); // warmup, discarded
+            // Warmup, timing discarded; the recorder never changes
+            // which events run.
+            by_kind = run_once(sched, rec).by_kind;
         }
         let mut samples: [Vec<(u64, f64)>; 3] = Default::default();
         for _ in 0..SAMPLES {
             for (k, &rec) in STATES.iter().enumerate() {
                 let (mut events, mut wall) = (0u64, 0.0f64);
                 for _ in 0..REPS {
-                    let (e, w) = run_once(sched, rec);
-                    events += e;
-                    wall += w;
+                    let perf = run_once(sched, rec);
+                    events += perf.events;
+                    wall += perf.wall.as_secs_f64();
                 }
                 samples[k].push((events, wall));
             }
         }
-        samples.map(|mut s| {
+        let best = samples.map(|mut s| {
             // Event counts are identical across samples (the simulation
             // is deterministic), so the min-by-wall sample is the
             // max-by-rate sample.
             s.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("wall times are finite"));
             s[0]
-        })
+        });
+        (best, by_kind)
     };
     let rate_of = |events: u64, wall: f64| if wall > 0.0 { events as f64 / wall } else { 0.0 };
     // Gated and traced runs execute a strict superset of the Off run's
@@ -740,11 +745,14 @@ fn run_perf(args: &Args) {
         "sched", "events", "wall(s)", "events/sec", "gated ev/s", "gate%", "traced ev/s", "trace%"
     );
     let mut rows = Vec::new();
+    let mut kind_rows = Vec::new();
     let (mut total_events, mut total_wall) = (0u64, 0.0f64);
     let (mut total_gt_events, mut total_gt_wall) = (0u64, 0.0f64);
     let (mut total_tr_events, mut total_tr_wall) = (0u64, 0.0f64);
     for sched in [Sched::Credit, Sched::Asman] {
-        let [(events, wall), (gt_events, gt_wall), (tr_events, tr_wall)] = measure_states(sched);
+        let ([(events, wall), (gt_events, gt_wall), (tr_events, tr_wall)], by_kind) =
+            measure_states(sched);
+        kind_rows.push((sched.label(), by_kind));
         let rate = rate_of(events, wall);
         let gt_rate = rate_of(gt_events, gt_wall);
         let tr_rate = rate_of(tr_events, tr_wall);
@@ -783,6 +791,26 @@ fn run_perf(args: &Args) {
         "{:>8} {:>12} {:>10.3} {:>14.0} {:>13.0} {:>7} {:>13.0}",
         "total", total_events, total_wall, combined, gt_combined, "", tr_combined
     );
+    // Deterministic: the same counts on every host and every run.
+    println!("\nEvents by kind, one run:");
+    print!("{:>8}", "sched");
+    for name in Ev::KINDS {
+        print!(" {name:>11}");
+    }
+    println!();
+    for (label, by_kind) in &kind_rows {
+        let all: u64 = by_kind.iter().sum();
+        print!("{label:>8}");
+        for n in by_kind {
+            print!(" {n:>11}");
+        }
+        println!();
+        print!("{:>8}", "share");
+        for &n in by_kind {
+            print!(" {:>10.2}%", n as f64 * 100.0 / all.max(1) as f64);
+        }
+        println!();
+    }
     let bench = Bench {
         class: format!("{:?}", p.class),
         seed: p.seed,

@@ -348,6 +348,115 @@ mod tests {
         assert!(r1.seq > r0.seq);
     }
 
+    /// A queue whose only event sits in the insertion buffer.
+    fn buffered(t: u64, payload: u32) -> EventQueue<u32> {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(t), payload);
+        assert_eq!(q.keys.len(), 0, "the newest event stays buffered");
+        q
+    }
+
+    /// A queue whose only event sits in the heap, the buffer emptied.
+    fn heaped(t: u64, payload: u32) -> EventQueue<u32> {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(t), payload);
+        q.schedule(Cycles(0), u32::MAX);
+        assert_eq!(q.pop().map(|e| e.2), Some(u32::MAX));
+        assert_eq!((q.keys.len(), q.pending.is_none()), (1, true));
+        q
+    }
+
+    #[test]
+    fn pop_before_includes_a_buffered_event_at_the_deadline() {
+        let mut q = buffered(100, 7);
+        assert!(q.pop_before(Cycles(99)).is_none());
+        assert_eq!(q.len(), 1, "a refused pop leaves the event pending");
+        assert_eq!(q.pop_before(Cycles(100)), Some((Cycles(100), 0, 7)));
+        assert!(q.is_empty());
+        q.audit_check();
+    }
+
+    #[test]
+    fn pop_before_includes_a_heap_root_at_the_deadline() {
+        let mut q = heaped(100, 7);
+        assert!(q.pop_before(Cycles(99)).is_none());
+        assert_eq!(q.pop_before(Cycles(100)).map(|e| e.2), Some(7));
+        assert!(q.is_empty());
+        q.audit_check();
+    }
+
+    #[test]
+    fn time_tie_between_buffer_and_root_pops_lower_seq_first() {
+        // The buffer always holds the newest event, so on a time tie
+        // with the heap root the root has the lower seq and pops first.
+        let tied = || {
+            let mut q = EventQueue::new();
+            q.schedule(Cycles(50), 'r');
+            q.schedule(Cycles(50), 'b');
+            assert_eq!((q.keys.len(), q.pending.is_some()), (1, true));
+            q
+        };
+        let mut q = tied();
+        assert_eq!(q.pop_before(Cycles(50)), Some((Cycles(50), 0, 'r')));
+        assert_eq!(q.pop_before(Cycles(50)), Some((Cycles(50), 1, 'b')));
+        let mut q = tied();
+        assert_eq!(q.pop(), Some((Cycles(50), 0, 'r')));
+        assert_eq!(q.pop(), Some((Cycles(50), 1, 'b')));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn empty_buffer_only_and_heap_only_queues() {
+        let mut empty: EventQueue<u32> = EventQueue::new();
+        assert_eq!((empty.len(), empty.is_empty()), (0, true));
+        assert_eq!(empty.peek_time(), None);
+        assert!(empty.pop_before(Cycles(u64::MAX)).is_none());
+        assert!(empty.pop().is_none());
+        empty.audit_check();
+        for mut q in [buffered(30, 1), heaped(30, 1)] {
+            assert_eq!((q.len(), q.is_empty()), (1, false));
+            assert_eq!(q.peek_time(), Some(Cycles(30)));
+            q.audit_check();
+            let popped = q.pop_before(Cycles(u64::MAX));
+            assert_eq!(popped.map(|e| (e.0, e.2)), Some((Cycles(30), 1)));
+            assert!(q.is_empty());
+            assert_eq!(q.peek_time(), None);
+            assert!(q.pop().is_none());
+            q.audit_check();
+        }
+    }
+
+    #[test]
+    fn fold_state_ignores_where_the_minimum_sits() {
+        let fold = |q: &EventQueue<u64>| {
+            let mut h = crate::fnv::Fnv::new();
+            q.fold_state(&mut h, &mut |v, h| h.write_u64(*v));
+            h.finish()
+        };
+        let three = || {
+            let mut q = EventQueue::new();
+            q.schedule(Cycles(9), 9);
+            q.schedule(Cycles(3), 3);
+            q.schedule(Cycles(5), 5);
+            assert_eq!(q.pop().map(|e| e.2), Some(3));
+            q
+        };
+        let mut a = three();
+        let mut b = three();
+        // Move `b`'s buffered minimum into the heap: the same pending set
+        // and counters in the other layout.
+        let (key, val) = b.pending.take().expect("5 is buffered");
+        b.heap_push(key, val);
+        b.audit_check();
+        assert_eq!(a.pending.map(|(k, _)| k >> 64), Some(5), "a's minimum is buffered");
+        assert_eq!(b.keys[0] >> 64, 5, "b's minimum is the heap root");
+        assert_eq!(fold(&a), fold(&b));
+        while let Some(e) = a.pop() {
+            assert_eq!(b.pop(), Some(e));
+        }
+        assert!(b.is_empty());
+    }
+
     /// Randomized agreement with a naive reference model: every pop must
     /// return the minimum (time, seq) among the currently pending events,
     /// whatever the heap layout does internally.
